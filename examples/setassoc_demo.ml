@@ -3,14 +3,14 @@
    On an associative cache a single interloper cannot evict a resident
    line, so the direct-mapped conflict metric overstates many conflicts.
    GBSC-SA replaces TRG_place with the pair database D(p, {r, s}) — how
-   often a PAIR of blocks appears between consecutive occurrences of p —
-   and charges an alignment only when p and both pair members map to the
-   same set.
+   often a PAIR of blocks appears between consecutive occurrences of p,
+   the arity-2 case of Tuple_db — and charges an alignment only when p
+   and both pair members map to the same set.
 
    Run with: dune exec examples/setassoc_demo.exe *)
 
 module Config = Trg_cache.Config
-module Pair_db = Trg_profile.Pair_db
+module Tuple_db = Trg_profile.Tuple_db
 module Gbsc = Trg_place.Gbsc
 module Gbsc_sa = Trg_place.Gbsc_sa
 module Runner = Trg_eval.Runner
@@ -28,7 +28,7 @@ let () =
   (* Build the pair database and show a few statistics. *)
   let sa_prof = Gbsc_sa.profile ~max_between:32 config2 program r.Runner.train in
   Printf.printf "pair database: %s (p, {r,s}) associations\n"
-    (Table.fmt_int (Pair_db.n_entries sa_prof.Gbsc_sa.pairs.Pair_db.db));
+    (Table.fmt_int (Tuple_db.n_entries sa_prof.Gbsc_sa.tuples.Tuple_db.db));
 
   (* Compare three placements on the associative cache. *)
   let config_dm =

@@ -1,14 +1,11 @@
 module Program = Trg_program.Program
 module Chunk = Trg_program.Chunk
 module Graph = Trg_profile.Graph
-module Pair_db = Trg_profile.Pair_db
-
 module Tuple_db = Trg_profile.Tuple_db
 
 type model =
   | Trg_chunks of { chunks : Chunk.t; trg : Graph.t }
   | Wcg_procs of { wcg : Graph.t }
-  | Sa_pairs of { chunks : Chunk.t; db : Pair_db.t }
   | Sa_tuples of { chunks : Chunk.t; db : Tuple_db.t }
   | Blend of (model * float) list
 
@@ -81,161 +78,153 @@ let cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost =
         (Graph.neighbors wcg p2))
     (Node.members n2)
 
-(* Set-associative pair cost: D(p, {r, s}) is charged at offset i only when
-   p, r and s all map to the same cache set.  For each line triple
-   (lp, lr, ls) of the three blocks, lines in n1 are fixed while lines in
-   n2 shift by the candidate offset; the triple determines either a single
-   chargeable offset or (when all three blocks sit in the same node) none
-   that this merge can influence.  Beyond the paper's "p against all pairs
-   of the other node", we also charge mixed pairs with one member in each
-   node — the estimate is strictly more complete and reuses the same
-   database. *)
-let cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
-  ignore program;
-  let in1 = offsets_of_node n1 and in2 = offsets_of_node n2 in
-  (* (set index, shifts?) of a chunk, or None if its owner is unplaced. *)
-  let locate c =
-    let p = Chunk.owner chunks c in
-    match Hashtbl.find_opt in1 p with
-    | Some o -> Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, false)
-    | None -> (
-      match Hashtbl.find_opt in2 p with
-      | Some o ->
-        Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, true)
-      | None -> None)
-  in
-  let lines c start f =
-    iter_lines ~line_size ~n_sets ~start_set:start ~bytes:(Chunk.size_of chunks c) f
-  in
-  let charge_chunk c =
-    match locate c with
-    | None -> ()
-    | Some (sp, p_shifts) ->
-      Pair_db.iter_p db c (fun r s w ->
-          match (locate r, locate s) with
-          | Some (sr, r_shifts), Some (ss, s_shifts) ->
-            if not (p_shifts && r_shifts && s_shifts)
-               && (p_shifts || r_shifts || s_shifts)
-            then
-              (* At least one block on each side: the triple constrains a
-                 single offset per line combination.  Same-set equality
-                 within one side must already hold; the cross-side pair
-                 fixes i. *)
-              lines c sp (fun lp ->
-                  lines r sr (fun lr ->
-                      lines s ss (fun ls ->
-                          (* Shifted lines get +i; require all three equal. *)
-                          let fixed = ref [] and moving = ref [] in
-                          let put shifts l =
-                            if shifts then moving := l :: !moving
-                            else fixed := l :: !fixed
-                          in
-                          put p_shifts lp;
-                          put r_shifts lr;
-                          put s_shifts ls;
-                          match (!fixed, !moving) with
-                          | f :: frest, m :: mrest
-                            when List.for_all (fun l -> l = f) frest
-                                 && List.for_all (fun l -> l = m) mrest ->
-                            let i = (f - m + n_sets) mod n_sets in
-                            cost.(i) <- cost.(i) +. w
-                          | _ -> ())))
-          | None, _ | _, None -> ())
-  in
-  let charge_node node =
-    List.iter
-      (fun (p, _) ->
-        let first = Chunk.first chunks p in
-        for k = 0 to Chunk.n_chunks chunks p - 1 do
-          charge_chunk (first + k)
-        done)
-      (Node.members node)
-  in
-  (* Visit p on both sides; pairs are then located wherever they live.  A
-     triple entirely within one node contributes nothing (guarded above). *)
-  charge_node n1;
-  charge_node n2
+(* Intersects the [k] disjoint circular arcs [(s.(j), l.(j))] with the arc
+   of [la] sets from [a], on a circle of [n] sets, through the [ts]/[tl]
+   scratch; returns the new count.  Relative to a piece's start, the arc
+   covers [d, d + la) and, when it wraps past the piece's origin, also
+   [0, d + la - n); each of those meets the piece [0, lj) in at most one
+   run.  Since every piece is a maximal run, the result has at most one
+   piece more than its input. *)
+let intersect_arc ~n s l k ts tl a la =
+  if la >= n then k
+  else begin
+    let m = ref 0 in
+    for j = 0 to k - 1 do
+      let sj = s.(j) and lj = l.(j) in
+      if lj >= n then begin
+        ts.(!m) <- a;
+        tl.(!m) <- la;
+        incr m
+      end
+      else begin
+        let d = (a - sj + n) mod n in
+        if d < lj then begin
+          ts.(!m) <- a;
+          tl.(!m) <- min (lj - d) la;
+          incr m
+        end;
+        if d + la > n then begin
+          ts.(!m) <- sj;
+          tl.(!m) <- min lj (d + la - n);
+          incr m
+        end
+      end
+    done;
+    Array.blit ts 0 s 0 !m;
+    Array.blit tl 0 l 0 !m;
+    !m
+  end
 
-(* Generalised tuple cost: D(p, S) is charged at offset i when p and every
-   member of S map to one set.  Members on the fixed side must already
-   share a set, likewise the moving side; each (fixed set, moving set)
-   combination determines one offset.  Intersecting the members'
-   set-lists keeps this linear in chunk lines rather than exponential in
-   the tuple size. *)
-let cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost =
-  ignore program;
-  let in1 = offsets_of_node n1 and in2 = offsets_of_node n2 in
-  let locate c =
-    let p = Chunk.owner chunks c in
-    match Hashtbl.find_opt in1 p with
-    | Some o -> Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, false)
-    | None -> (
-      match Hashtbl.find_opt in2 p with
-      | Some o ->
-        Some (chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c, true)
-      | None -> None)
-  in
-  let set_list c start =
-    let acc = ref [] in
-    iter_lines ~line_size ~n_sets ~start_set:start
-      ~bytes:(Chunk.size_of chunks c) (fun s -> acc := s :: !acc);
-    List.sort_uniq compare !acc
-  in
-  let intersect a b = List.filter (fun x -> List.mem x b) a in
-  let charge_chunk c =
-    match locate c with
-    | None -> ()
-    | Some (sp, p_shifts) ->
-      Tuple_db.iter_p db c (fun ids w ->
-          let rec gather fixed moving = function
-            | [] -> Some (fixed, moving)
-            | (m, lines, shifts) :: rest ->
-              ignore m;
-              if shifts then gather fixed (lines :: moving) rest
-              else gather (lines :: fixed) moving rest
-          in
-          let members =
-            List.filter_map
-              (fun m ->
-                match locate m with
-                | Some (s, shifts) -> Some (m, set_list m s, shifts)
-                | None -> None)
-              ids
-          in
-          if List.length members = List.length ids then begin
-            let p_lines = set_list c sp in
-            let start =
-              if p_shifts then ([], [ p_lines ]) else ([ p_lines ], [])
-            in
-            match gather (fst start) (snd start) members with
-            | Some (fixed, moving) when fixed <> [] && moving <> [] ->
-              let inter = function
-                | [] -> []
-                | first :: rest -> List.fold_left intersect first rest
-              in
-              let fi = inter fixed and mi = inter moving in
-              List.iter
-                (fun lf ->
-                  List.iter
-                    (fun lm ->
-                      let i = (lf - lm + n_sets) mod n_sets in
-                      cost.(i) <- cost.(i) +. w)
-                    mi)
-                fi
-            | Some _ | None -> ()
-          end)
-  in
-  let charge_node node =
+(* Set-associative tuple cost: D(p, S) is charged at offset i when p and
+   every member of S map to one set.  The members in n1 (fixed) must
+   share a set among themselves, likewise those in n2 (moving); every
+   (fixed set, moving set) combination then determines one offset.
+   Beyond the paper's "p against all tuples of the other node", tuples
+   with members on both sides are charged too.
+
+   A block's sets form one circular arc, so each side's common sets are
+   the intersection of its members' arcs: a few disjoint arcs.  The
+   cross-correlation of a fixed arc with a moving arc is the trapezoid
+   {!seed_incr} charges, i.e. four spikes in the second difference;
+   spikes of every tuple accumulate in one linear buffer that is
+   integrated once per query.  Integral weights make every step exact, so
+   the array is bit-identical to enumerating the set combinations.  A
+   parallel integer count of covering trapezoids keeps offsets no tuple
+   reaches at exactly zero for any weights, so rounding residue from
+   non-integral (perturbed) weights cannot break the zero ties that
+   {!best_offset_packed} resolves. *)
+let cost_sa_tuples chunks (db : Tuple_db.t) ~line_size ~n_sets ~n1 ~n2 cost =
+  let n = n_sets and arity = db.Tuple_db.arity in
+  let start = db.Tuple_db.start and ids = db.Tuple_db.ids in
+  let weights = db.Tuple_db.weights in
+  (* [loc.(c)]: chunk [c]'s first set, plus [n] when it sits in the moving
+     node; -1 when its owner is in neither node.  [len.(c)]: its sets. *)
+  let loc = Array.make (Chunk.total chunks) (-1) in
+  let len = Array.make (Chunk.total chunks) 0 in
+  let locate node side =
     List.iter
-      (fun (p, _) ->
+      (fun (p, o) ->
         let first = Chunk.first chunks p in
-        for k = 0 to Chunk.n_chunks chunks p - 1 do
-          charge_chunk (first + k)
+        for c = first to first + Chunk.n_chunks chunks p - 1 do
+          loc.(c) <- side + chunk_start_set chunks ~line_size ~n_sets ~owner_set:o c;
+          len.(c) <- min ((Chunk.size_of chunks c + line_size - 1) / line_size) n
         done)
       (Node.members node)
   in
-  charge_node n1;
-  charge_node n2
+  locate n2 n;
+  locate n1 0;
+  let cap = 2 * (arity + 1) in
+  let fs = Array.make cap 0 and fl = Array.make cap 0 in
+  let ms = Array.make cap 0 and ml = Array.make cap 0 in
+  let ts = Array.make cap 0 and tl = Array.make cap 0 in
+  let dd = Array.make (3 * n) 0. and cover = Array.make (3 * n) 0 in
+  let charge_chunk c =
+    let lo = if c + 1 < Array.length start then start.(c) else 0 in
+    let hi = if c + 1 < Array.length start then start.(c + 1) else 0 in
+    for e = lo to hi - 1 do
+      (* Fold p and each member into its side's arc intersection; -1
+         counts mean "no arc yet", 0 an empty intersection. *)
+      let nf = ref (-1) and nm = ref (-1) and ok = ref true and j = ref 0 in
+      while !ok && !j <= arity do
+        let m = if !j = 0 then c else ids.((e * arity) + !j - 1) in
+        let at = loc.(m) in
+        if at < 0 then ok := false
+        else if at >= n then begin
+          if !nm < 0 then begin
+            ms.(0) <- at - n;
+            ml.(0) <- len.(m);
+            nm := 1
+          end
+          else nm := intersect_arc ~n ms ml !nm ts tl (at - n) len.(m);
+          if !nm = 0 then ok := false
+        end
+        else begin
+          if !nf < 0 then begin
+            fs.(0) <- at;
+            fl.(0) <- len.(m);
+            nf := 1
+          end
+          else nf := intersect_arc ~n fs fl !nf ts tl at len.(m);
+          if !nf = 0 then ok := false
+        end;
+        incr j
+      done;
+      if !ok && !nf > 0 && !nm > 0 then begin
+        let w = weights.(e) in
+        for a = 0 to !nf - 1 do
+          for b = 0 to !nm - 1 do
+            let la = fl.(a) and lb = ml.(b) in
+            let base = (fs.(a) - ms.(b) - (lb - 1) + (2 * n)) mod n in
+            dd.(base) <- dd.(base) +. w;
+            dd.(base + la) <- dd.(base + la) -. w;
+            dd.(base + lb) <- dd.(base + lb) -. w;
+            dd.(base + la + lb) <- dd.(base + la + lb) +. w;
+            cover.(base) <- cover.(base) + 1;
+            cover.(base + la) <- cover.(base + la) - 1;
+            cover.(base + lb) <- cover.(base + lb) - 1;
+            cover.(base + la + lb) <- cover.(base + la + lb) + 1
+          done
+        done
+      end
+    done
+  in
+  (* Visit p on both sides; its tuple members are located wherever they
+     live.  A tuple entirely within one node charges nothing. *)
+  List.iter
+    (fun (p, _) ->
+      let first = Chunk.first chunks p in
+      for c = first to first + Chunk.n_chunks chunks p - 1 do
+        charge_chunk c
+      done)
+    (Node.members n1 @ Node.members n2);
+  let run1 = ref 0. and run2 = ref 0. and cover1 = ref 0 and cover2 = ref 0 in
+  for i = 0 to (3 * n) - 1 do
+    run1 := !run1 +. dd.(i);
+    run2 := !run2 +. !run1;
+    cover1 := !cover1 + cover.(i);
+    cover2 := !cover2 + !cover1;
+    if !cover2 <> 0 then cost.(i mod n) <- cost.(i mod n) +. !run2
+  done
 
 let rec offsets_cost model program ~line_size ~n_sets ~n1 ~n2 =
   let cost = Array.make n_sets 0. in
@@ -243,10 +232,7 @@ let rec offsets_cost model program ~line_size ~n_sets ~n1 ~n2 =
   | Trg_chunks { chunks; trg } ->
     cost_trg_chunks chunks trg program ~line_size ~n_sets ~n1 ~n2 cost
   | Wcg_procs { wcg } -> cost_wcg_procs wcg program ~line_size ~n_sets ~n1 ~n2 cost
-  | Sa_pairs { chunks; db } ->
-    cost_sa_pairs chunks db program ~line_size ~n_sets ~n1 ~n2 cost
-  | Sa_tuples { chunks; db } ->
-    cost_sa_tuples chunks db program ~line_size ~n_sets ~n1 ~n2 cost
+  | Sa_tuples { chunks; db } -> cost_sa_tuples chunks db ~line_size ~n_sets ~n1 ~n2 cost
   | Blend parts ->
     (* Sub-model magnitudes are incommensurable (tuple counts vs edge
        weights), so each sub-cost is normalised to unit mass before
@@ -326,8 +312,8 @@ let integrate_spikes t ~n_sets sp =
 
 (* Seed an incremental engine for a model, or [None] when the model is
    out of scope.  Only the two group-decomposable models qualify: the
-   set-associative databases charge triples/tuples (not pairwise-linear
-   in the group split) and Blend renormalises sub-costs per query
+   set-associative database charges tuples (not pairwise-linear in the
+   group split) and Blend renormalises sub-costs per query
    (nonlinear), so those fall back to the full evaluator — as does any
    non-integral profile weight (perturbed graphs), which would void the
    bit-identity guarantee. *)
@@ -422,7 +408,7 @@ let seed_incr_untimed model program ~line_size ~n_sets =
           w)
       wcg;
     finish ()
-  | Sa_pairs _ | Sa_tuples _ | Blend _ -> fallback ()
+  | Sa_tuples _ | Blend _ -> fallback ()
 
 let seed_incr model program ~line_size ~n_sets =
   if not (Trg_obs.Prof.enabled ()) then

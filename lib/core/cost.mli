@@ -13,16 +13,18 @@
     - {!Trg_chunks}: GBSC — fine-grained TRG_place weights between 256-byte
       chunks (direct-mapped target);
     - {!Wcg_procs}: HKC — WCG weights between whole procedures;
-    - {!Sa_pairs}: the Section 6 set-associative extension — D(p, {r,s})
-      charges an offset only when p and both pair members land in the same
-      set. *)
+    - {!Sa_tuples}: the Section 6 set-associative extension — D(p, S)
+      charges an offset only when p and every member of S land in the
+      same set.  Each side's common sets are an intersection of circular
+      arcs, and each (fixed arc, moving arc) pair charges a trapezoid
+      through four spikes in a second-difference buffer integrated once
+      per query, so a query costs O(1) per tuple plus O(n_sets). *)
 
 type model =
   | Trg_chunks of { chunks : Trg_program.Chunk.t; trg : Trg_profile.Graph.t }
   | Wcg_procs of { wcg : Trg_profile.Graph.t }
-  | Sa_pairs of { chunks : Trg_program.Chunk.t; db : Trg_profile.Pair_db.t }
   | Sa_tuples of { chunks : Trg_program.Chunk.t; db : Trg_profile.Tuple_db.t }
-      (** arbitrary associativity: D(p, S) with |S| = ways *)
+      (** D(p, S) with |S| = ways; arity 2 is the paper's pair database *)
   | Blend of (model * float) list
       (** weighted sum of sub-model costs, each normalised to unit mass
           first (their magnitudes are incommensurable).  Used to
@@ -53,7 +55,7 @@ val offsets_cost :
     ({!Trg_cache.Incr}) and answers each query in O(n_sets).  For the
     group-decomposable models with integral profile weights the two are
     bit-identical — same arrays, same argmin, same layout; whenever that
-    guarantee cannot be established ({!Sa_pairs}, {!Sa_tuples},
+    guarantee cannot be established ({!Sa_tuples},
     {!Blend}, or non-integral weights from profile perturbation),
     {!seed_incr} returns [None], bumps [cost/incr/fallbacks], and the
     caller uses the full evaluator. *)

@@ -78,7 +78,7 @@ let place_nodes ?decisions config program ~select ~model =
      The chunk-TRG model keeps the paper's plain first-minimum rule
      (Section 4.2, note 3), which its dense cost arrays make safe. *)
   let rec sparse_model = function
-    | Cost.Sa_pairs _ | Cost.Sa_tuples _ | Cost.Wcg_procs _ -> true
+    | Cost.Sa_tuples _ | Cost.Wcg_procs _ -> true
     | Cost.Trg_chunks _ -> false
     | Cost.Blend parts -> List.exists (fun (m, _) -> sparse_model m) parts
   in

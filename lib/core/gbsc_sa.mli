@@ -1,10 +1,11 @@
 (** Set-associative extension of the placement algorithm (Section 6).
 
     For an A-way associative cache a single intervening block cannot evict
-    a resident block, so TRG_place is replaced by the pair database
-    [D(p, {r, s})] (see {!Trg_profile.Pair_db}), and [merge_nodes] charges
-    an offset only when a block and both members of a recorded pair map to
-    the same cache set.  Selection order still comes from the
+    a resident block, so TRG_place is replaced by the database [D(p, S)]
+    of the A-block sets [S] seen between consecutive occurrences of [p]
+    (see {!Trg_profile.Tuple_db}), and [merge_nodes] charges an offset
+    only when a block and every member of a recorded set map to the same
+    cache set ({!Cost.Sa_tuples}).  Selection order still comes from the
     procedure-granularity TRG_select.  Alignments are taken modulo the
     number of {e sets}, which is the period of the cache mapping. *)
 
@@ -13,7 +14,7 @@ type profile = {
   popularity : Trg_profile.Popularity.t;
   chunks : Trg_program.Chunk.t;
   select : Trg_profile.Trg.built;  (** TRG_select, as in the base algorithm *)
-  pairs : Trg_profile.Pair_db.built;  (** D(p, {r, s}) at chunk granularity *)
+  tuples : Trg_profile.Tuple_db.built;  (** D(p, S) at chunk granularity *)
 }
 
 val profile :
@@ -22,10 +23,11 @@ val profile :
   Trg_program.Program.t ->
   Trg_trace.Trace.t ->
   profile
-(** The cache in [config] should be set-associative (assoc >= 2); the
+(** The paper's 2-way algorithm: [D(p, {r, s})], the arity-2 database.
+    The cache in [config] should be set-associative (assoc >= 2); the
     algorithm degrades gracefully to direct-mapped but {!Gbsc} is then the
-    better choice.  [max_between] bounds the pair enumeration (see
-    {!Trg_profile.Pair_db.build_stream}). *)
+    better choice.  [max_between] (default 64) bounds the pair
+    enumeration (see {!Trg_profile.Tuple_db.build_stream}). *)
 
 val place :
   ?decisions:Trg_obs.Journal.decision array ->
@@ -44,18 +46,13 @@ val run :
 
 (** {2 Arbitrary associativity}
 
-    The tuple-database generalisation: D(p, S) with [|S|] equal to the
-    cache's number of ways.  For 2-way caches this coincides with the pair
-    database up to enumeration caps. *)
+    [D(p, S)] with [|S|] equal to the cache's number of ways, blended with
+    a share of the dense direct-mapped TRG_place cost. *)
 
 type tuple_profile = {
-  tconfig : Gbsc.config;
-  tpopularity : Trg_profile.Popularity.t;
-  tchunks : Trg_program.Chunk.t;
-  tselect : Trg_profile.Trg.built;
+  sa : profile;  (** the database at the requested arity *)
   tplace : Trg_profile.Trg.built;
       (** dense direct-mapped TRG, blended in at a small weight *)
-  tuples : Trg_profile.Tuple_db.built;
 }
 
 val profile_tuples :
@@ -65,7 +62,9 @@ val profile_tuples :
   Trg_program.Program.t ->
   Trg_trace.Trace.t ->
   tuple_profile
-(** [arity] defaults to the configured cache's associativity. *)
+(** [arity] defaults to the configured cache's associativity;
+    [max_between] to {!Trg_profile.Tuple_db.build_stream}'s per-arity
+    default. *)
 
 val place_tuples :
   ?trg_share:float -> Trg_program.Program.t -> tuple_profile -> Trg_program.Layout.t

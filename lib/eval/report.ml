@@ -466,20 +466,17 @@ let run_specs options specs =
   let by_weight =
     List.stable_sort (fun (_, _, a) (_, _, b) -> compare b.u_weight a.u_weight) indexed
   in
+  (* Each unit's span carries its pool key, so a trace names the unit
+     that ran ("setassoc [small] 4-way"), not just its benchmark. *)
   let tasks =
     List.map
       (fun (_, en, u) ->
-        {
-          Pool.key =
-            (match u.u_bench with
-            | Some b -> Printf.sprintf "%s [%s] %s" en b u.u_tag
-            | None -> Printf.sprintf "%s %s" en u.u_tag);
-          work =
-            (fun () ->
-              match u.u_bench with
-              | Some b -> Span.with_ b u.u_work
-              | None -> u.u_work ());
-        })
+        let key =
+          match u.u_bench with
+          | Some b -> Printf.sprintf "%s [%s] %s" en b u.u_tag
+          | None -> Printf.sprintf "%s %s" en u.u_tag
+        in
+        { Pool.key; work = (fun () -> Span.with_ key u.u_work) })
       by_weight
   in
   let outcomes = Pool.run ?jobs ?timeout ~retries ~fail_fast tasks in

@@ -4,7 +4,7 @@ module Gbsc = Trg_place.Gbsc
 module Gbsc_sa = Trg_place.Gbsc_sa
 
 module Perturb = Trg_profile.Perturb
-module Pair_db = Trg_profile.Pair_db
+module Tuple_db = Trg_profile.Tuple_db
 module Prng = Trg_util.Prng
 
 type row = { label : string; miss_rate : float }
@@ -70,13 +70,13 @@ let run_perturbation ?force_fail ?policy ?(max_between = 32) ~lo ~hi shape =
   let rates =
     Array.init (max 1 (hi - lo)) (fun k ->
         let rng = Prng.create (31_000 + lo + k) in
-        let db = Perturb.pair_db rng ~s:Perturb.default_s prof.Gbsc_sa.pairs.Pair_db.db in
+        let db = Perturb.tuple_db rng ~s:Perturb.default_s prof.Gbsc_sa.tuples.Tuple_db.db in
         let select =
           Perturb.graph rng ~s:Perturb.default_s prof.Gbsc_sa.select.Trg_profile.Trg.graph
         in
         let layout =
           Gbsc.place_with config program ~select
-            ~model:(Trg_place.Cost.Sa_pairs { chunks = prof.Gbsc_sa.chunks; db })
+            ~model:(Trg_place.Cost.Sa_tuples { chunks = prof.Gbsc_sa.chunks; db })
         in
         Runner.test_miss_rate r layout)
   in

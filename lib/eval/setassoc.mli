@@ -29,7 +29,7 @@ val run :
   result
 (** Prepares the benchmark itself (it needs a 2-way configuration), so it
     takes a shape rather than a prepared runner.  [max_between] bounds the
-    pair enumeration (default 32; see {!Trg_profile.Pair_db}).  [policy]
+    pair enumeration (default 32; see {!Trg_profile.Tuple_db}).  [policy]
     selects the replacement policy the associative caches are scored
     under (default LRU, the paper's Section 6 assumption). *)
 

@@ -28,5 +28,6 @@ val enabled : unit -> bool
 
 val us_limits : float array
 (** Shared bucket boundaries for microsecond-scale latency histograms:
-    1 us to 1 s in half-decade steps.  Using one limit vector keeps
+    1 us to 100 s in half-decade steps, so whole pool units still land
+    in a bounded bucket.  Using one limit vector keeps
     [prof/*] histograms mergeable across pool workers. *)

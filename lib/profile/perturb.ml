@@ -8,16 +8,5 @@ let graph rng ~s g =
   if s = 0. then Graph.copy g
   else Graph.map_weights (fun _ _ w -> w *. factor rng s) g
 
-let pair_db rng ~s db =
-  let out = Pair_db.create () in
-  let scale w = if s = 0. then w else w *. factor rng s in
-  (* Hashtbl iteration order is fixed for a given construction sequence,
-     which is all reproducibility requires here. *)
-  Pair_db.iter db (fun p r s w -> Pair_db.add out ~p ~r ~s (scale w));
-  out
-
 let tuple_db rng ~s db =
-  let out = Tuple_db.create ~arity:(Tuple_db.arity db) in
-  let scale w = if s = 0. then w else w *. factor rng s in
-  Tuple_db.iter db (fun p ids w -> Tuple_db.add out ~p ~ids (scale w));
-  out
+  if s = 0. then db else Tuple_db.map_weights (fun w -> w *. factor rng s) db

@@ -14,8 +14,8 @@ val graph : Trg_util.Prng.t -> s:float -> Graph.t -> Graph.t
 val default_s : float
 (** 0.1, the value used for the paper's Figure 5 experiments. *)
 
-val pair_db : Trg_util.Prng.t -> s:float -> Pair_db.t -> Pair_db.t
-(** Same transformation for the set-associative database. *)
-
 val tuple_db : Trg_util.Prng.t -> s:float -> Tuple_db.t -> Tuple_db.t
-(** Same transformation for the generalised tuple database. *)
+(** Same transformation for the set-associative database: the same keys
+    with a fresh weight array, one factor drawn per entry in canonical
+    order.  [s = 0] returns the database itself (its arrays are
+    read-only). *)

@@ -1,36 +1,70 @@
-(** Generalised temporal-relationship database for A-way associative
-    caches (Section 6: "the implementation for other associativities
-    follows directly").
+(** The temporal-relationship database for A-way associative caches
+    (Section 6).
 
     For an A-way LRU cache, a resident block [p] is evicted only when [A]
     {e distinct} blocks mapping to its set intervene between consecutive
     references.  [D(p, S)] therefore records, for sets [S] of exactly
     [arity = A] distinct block ids, how often all of [S] appeared between
-    two consecutive occurrences of [p].  Arity 2 coincides with
-    {!Pair_db}. *)
+    two consecutive occurrences of [p].  Arity 2 is the paper's pair
+    database [D(p, {r, s})]; higher arities follow directly.
 
-type t
+    A database is built through a {!builder} — an int-keyed
+    open-addressing table whose keys pack [p] and the ids into as few
+    words as the largest id seen allows (one word when
+    [(arity + 1) * bits] fits in 62 bits), widening as larger ids arrive
+    — and then frozen into flat arrays in compressed-sparse-row form:
+    the entries of [p] are contiguous, and every entry is a run of
+    [arity] ascending ids plus one weight.  Entries are in
+    {e canonical order}, ascending by [p] and then lexicographically by
+    their id runs. *)
+
+type t = private {
+  arity : int;
+  start : int array;
+      (** The entries of block [p] are the indices
+          [start.(p) .. start.(p + 1) - 1]; blocks at or beyond
+          [Array.length start - 1] have none. *)
+  ids : int array;
+      (** [arity] ids per entry: entry [e]'s set is
+          [ids.(e * arity) .. ids.(e * arity + arity - 1)], ascending. *)
+  weights : float array;  (** One weight per entry. *)
+}
+(** A frozen database.  The arrays are shared and must be treated as
+    read-only. *)
 
 type built = { db : t; qstats : Qset.stats }
 
-val create : arity:int -> t
+type builder
+
+val create : arity:int -> builder
 (** [arity >= 1]. *)
 
-val arity : t -> int
+val add : builder -> p:int -> ids:int list -> float -> unit
+(** Accumulates weight on [D(p, ids)].  [ids] must hold [arity] distinct
+    non-negative ids, none equal to [p]; order is irrelevant.  [p]
+    indexes the frozen [start] array, so it should be a dense id such as
+    a chunk id. *)
 
-val add : t -> p:int -> ids:int list -> float -> unit
-(** [ids] must hold [arity] distinct ids, none equal to [p]; order is
-    irrelevant. *)
-
-val count : t -> p:int -> ids:int list -> float
-
-val iter_p : t -> int -> (int list -> float -> unit) -> unit
-(** The id list passed to the callback is sorted ascending. *)
-
-val iter : t -> (int -> int list -> float -> unit) -> unit
-(** [iter t f] applies [f p ids w] to every association. *)
+val freeze : builder -> t
+(** The entries added so far, in canonical order.  Adding more and
+    freezing again afterwards is allowed. *)
 
 val n_entries : t -> int
+
+val count : t -> p:int -> ids:int list -> float
+(** 0 when the association was never recorded. *)
+
+val iter_p : t -> int -> (int list -> float -> unit) -> unit
+(** [iter_p t p f] applies [f ids w] to every entry of [p] in canonical
+    order; [ids] is ascending. *)
+
+val iter : t -> (int -> int list -> float -> unit) -> unit
+(** [iter t f] applies [f p ids w] to every entry in canonical order. *)
+
+val map_weights : (float -> float) -> t -> t
+(** The same keys with a fresh weight array, [f] applied to the entries
+    one at a time in canonical order (so a random draw inside [f] is
+    reproducible). *)
 
 val build_stream :
   arity:int ->
@@ -41,8 +75,9 @@ val build_stream :
   built
 (** Q-driven construction: each re-reference of [p] enumerates all
     [arity]-subsets of the (most recent [max_between]) intervening ids.
-    [max_between] defaults to 24 for arity 2, 12 for arity 3 and 10
-    beyond, to bound the binomial enumeration. *)
+    Truncation bounds the binomial enumeration; long intervals are
+    capacity-dominated and carry little placement signal.  [max_between]
+    defaults to 24 for arity 2, 12 for arity 3 and 10 beyond. *)
 
 val build_place :
   ?keep:(int -> bool) ->
@@ -52,4 +87,5 @@ val build_place :
   Trg_program.Chunk.t ->
   Trg_trace.Trace.t ->
   built
-(** Chunk-granularity database from a trace. *)
+(** Chunk-granularity database from a trace; [keep] filters on the owning
+    procedure. *)

@@ -22,6 +22,8 @@ module Gbsc_sa = Trg_place.Gbsc_sa
 module Wcg = Trg_profile.Wcg
 module Trg = Trg_profile.Trg
 module Incr = Trg_cache.Incr
+module Tuple_db = Trg_profile.Tuple_db
+module Chunk = Trg_program.Chunk
 module Metrics = Trg_obs.Metrics
 
 (* Soak profile hook: [dune runtest --profile soak] multiplies QCheck
@@ -466,6 +468,235 @@ let test_incr_work_reduction () =
     true
     (incr_m > 0 && incr_calls = 0)
 
+(* --- set-associative tuple database and cost vs list references ------- *)
+
+(* Reference builder: each re-reference enumerates every [arity]-subset
+   of its most recent [max_between] interveners as a sorted list, keyed
+   with [p] in a list-keyed table. *)
+let ref_tuple_build ~arity ~capacity_bytes ~size_of ~max_between refs =
+  let tbl : (int * int list, float) Hashtbl.t = Hashtbl.create 64 in
+  let rec subsets k l =
+    if k = 0 then [ [] ]
+    else
+      match l with
+      | [] -> []
+      | x :: rest -> List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
+  in
+  let rec take n = function
+    | x :: rest when n > 0 -> x :: take (n - 1) rest
+    | _ -> []
+  in
+  let q = Qset.create ~capacity_bytes ~size_of in
+  let last = ref (-1) in
+  List.iter
+    (fun p ->
+      if p <> !last then begin
+        last := p;
+        let buffer = ref [] in
+        if Qset.reference q p ~between:(fun i -> buffer := i :: !buffer) then
+          List.iter
+            (fun ids ->
+              let k = (p, ids) in
+              Hashtbl.replace tbl k
+                (1. +. Option.value (Hashtbl.find_opt tbl k) ~default:0.))
+            (subsets arity (List.sort compare (take max_between !buffer)))
+      end)
+    refs;
+  List.sort compare (Hashtbl.fold (fun (p, ids) w acc -> (p, ids, w) :: acc) tbl [])
+
+(* Ids are spread by a random stride so packed keys take one or two
+   words, widening mid-stream as larger ids arrive. *)
+let prop_tuple_db_matches_reference =
+  QCheck.Test.make
+    ~name:"frozen tuple database equals list-keyed build, in canonical order"
+    ~count:(scaled 200)
+    QCheck.(
+      pair
+        (quad (int_range 1 4) (int_range 0 9) (int_range 2 12)
+           (oneofl [ 1; 37; 1000 ]))
+        (list_of_size (Gen.int_range 0 150) (int_range 0 14)))
+    (fun ((arity, max_between, cap_lines, spread), refs) ->
+      let refs = List.map (fun id -> id * spread) refs in
+      let size_of id = 32 * (1 + (id mod 3)) in
+      let capacity_bytes = 32 * cap_lines in
+      let built =
+        Tuple_db.build_stream ~arity ~capacity_bytes ~size_of ~max_between
+          (fun emit -> List.iter emit refs)
+      in
+      let got = ref [] in
+      Tuple_db.iter built.Tuple_db.db (fun p ids w -> got := (p, ids, w) :: !got);
+      let expected =
+        ref_tuple_build ~arity ~capacity_bytes ~size_of ~max_between refs
+      in
+      List.rev !got = expected
+      && Tuple_db.n_entries built.Tuple_db.db = List.length expected)
+
+(* Direct adds with ids up to 2^50: keys from one packed word to one
+   word per field, accumulated and frozen in canonical order. *)
+let prop_tuple_db_wide_ids =
+  QCheck.Test.make ~name:"frozen tuple database keeps wide-id entries exactly"
+    ~count:(scaled 200)
+    QCheck.(pair (int_range 1 4) (int_bound 1_000_000))
+    (fun (arity, seed) ->
+      let rng = Prng.create seed in
+      let width = Prng.int_in rng 1 50 in
+      let pool = Array.init 12 (fun _ -> Prng.int rng (1 lsl width)) in
+      let b = Tuple_db.create ~arity in
+      let tbl = Hashtbl.create 64 in
+      for _ = 1 to Prng.int_in rng 0 60 do
+        let p = Prng.int rng 10 in
+        let ids =
+          List.sort_uniq compare
+            (List.filter (fun i -> i <> p) (Array.to_list (Prng.sample rng pool arity)))
+        in
+        if List.length ids = arity then begin
+          let w = float (Prng.int_in rng 1 9) in
+          Tuple_db.add b ~p ~ids w;
+          Hashtbl.replace tbl (p, ids)
+            (w +. Option.value (Hashtbl.find_opt tbl (p, ids)) ~default:0.)
+        end
+      done;
+      let got = ref [] in
+      Tuple_db.iter (Tuple_db.freeze b) (fun p ids w -> got := (p, ids, w) :: !got);
+      List.rev !got
+      = List.sort compare (Hashtbl.fold (fun (p, ids) w acc -> (p, ids, w) :: acc) tbl []))
+
+(* Reference cost: the list-based evaluator [Cost.Sa_tuples] replaced.
+   Every member's cache sets are listed and intersected per side; each
+   (fixed set, moving set) combination charges one offset. *)
+let ref_sa_tuples_cost chunks db ~line_size ~n_sets ~n1 ~n2 =
+  let cost = Array.make n_sets 0. in
+  let in1 = Node.members n1 and in2 = Node.members n2 in
+  let chunk_start o c =
+    (o + (Chunk.index_in_proc chunks c * (Chunk.chunk_size chunks / line_size)))
+    mod n_sets
+  in
+  let locate c =
+    let p = Chunk.owner chunks c in
+    match List.assoc_opt p in1 with
+    | Some o -> Some (chunk_start o c, false)
+    | None -> (
+      match List.assoc_opt p in2 with
+      | Some o -> Some (chunk_start o c, true)
+      | None -> None)
+  in
+  let set_list c start =
+    let acc = ref [] in
+    Cost.iter_lines ~line_size ~n_sets ~start_set:start
+      ~bytes:(Chunk.size_of chunks c) (fun s -> acc := s :: !acc);
+    List.sort_uniq compare !acc
+  in
+  let intersect a b = List.filter (fun x -> List.mem x b) a in
+  let inter = function [] -> [] | first :: rest -> List.fold_left intersect first rest in
+  let charge_chunk c =
+    match locate c with
+    | None -> ()
+    | Some (sp, p_shifts) ->
+      Tuple_db.iter_p db c (fun ids w ->
+          let members = List.filter_map (fun m -> Option.map (fun l -> (m, l)) (locate m)) ids in
+          if List.length members = List.length ids then begin
+            let all = (c, (sp, p_shifts)) :: members in
+            let side shifts =
+              List.filter_map
+                (fun (m, (s, sh)) -> if sh = shifts then Some (set_list m s) else None)
+                all
+            in
+            let fixed = side false and moving = side true in
+            if fixed <> [] && moving <> [] then
+              List.iter
+                (fun lf ->
+                  List.iter
+                    (fun lm ->
+                      let i = (lf - lm + n_sets) mod n_sets in
+                      cost.(i) <- cost.(i) +. w)
+                    (inter moving))
+                (inter fixed)
+          end)
+  in
+  List.iter
+    (fun (p, _) ->
+      for k = 0 to Chunk.n_chunks chunks p - 1 do
+        charge_chunk (Chunk.first chunks p + k)
+      done)
+    (in1 @ in2);
+  cost
+
+type weight_class = Integral | Dyadic | Arbitrary
+
+(* One random query: program, geometry (down to single-set caches, chunks
+   spanning more than half or all of the sets), a database built from a
+   random chunk stream, weights of the given class, and a random split of
+   the procedures into fixed node, moving node and unplaced, at random
+   offsets. *)
+let sa_query seed =
+  let rng = Prng.create seed in
+  let line_size = Prng.choose rng [| 16; 32 |] in
+  let n_sets = Prng.int_in rng 1 10 in
+  let chunk_size = line_size * Prng.int_in rng 1 5 in
+  let program =
+    Program.of_sizes
+      (Array.init (Prng.int_in rng 2 7) (fun _ ->
+           Prng.int_in rng 1 (line_size * (n_sets + 3))))
+  in
+  let chunks = Chunk.make ~chunk_size program in
+  let refs = List.init (Prng.int_in rng 20 200) (fun _ -> Prng.int rng (Chunk.total chunks)) in
+  let arity = Prng.int_in rng 1 4 in
+  let db =
+    (Tuple_db.build_stream ~arity ~capacity_bytes:(chunk_size * Prng.int_in rng 3 12)
+       ~size_of:(Chunk.size_of chunks) ~max_between:(Prng.int_in rng arity 8)
+       (fun emit -> List.iter emit refs))
+      .Tuple_db.db
+  in
+  let node procs =
+    List.fold_left
+      (fun n p -> Node.union ~shift:(Prng.int rng n_sets) ~modulo:n_sets n (Node.singleton p))
+      (Node.singleton (List.hd procs)) (List.tl procs)
+  in
+  let sides = List.init (Program.n_procs program) (fun p -> (p, Prng.int rng 3)) in
+  let on k = List.filter_map (fun (p, s) -> if s = k then Some p else None) sides in
+  let n1 = node (0 :: List.filter (fun p -> p > 1) (on 0)) in
+  let n2 = node (1 :: List.filter (fun p -> p > 1) (on 1)) in
+  (rng, chunks, db, program, line_size, n_sets, n1, n2)
+
+let check_sa_cost cls seed =
+  let rng, chunks, db, program, line_size, n_sets, n1, n2 = sa_query seed in
+  let db =
+    match cls with
+    | Integral -> db
+    | Dyadic -> Tuple_db.map_weights (fun w -> w *. float (Prng.int_in rng 1 64) /. 16.) db
+    | Arbitrary -> Tuple_db.map_weights (fun w -> w *. exp (Prng.normal rng)) db
+  in
+  let expected = ref_sa_tuples_cost chunks db ~line_size ~n_sets ~n1 ~n2 in
+  let got =
+    Cost.offsets_cost (Cost.Sa_tuples { chunks; db }) program ~line_size ~n_sets ~n1 ~n2
+  in
+  let mass = Array.fold_left (fun acc c -> acc +. Float.abs c) 0. expected in
+  let ok i =
+    match cls with
+    | Integral | Dyadic -> Int64.bits_of_float got.(i) = Int64.bits_of_float expected.(i)
+    | Arbitrary ->
+      if expected.(i) = 0. then got.(i) = 0.
+      else Float.abs (got.(i) -. expected.(i)) <= 1e-12 *. mass
+  in
+  let rec all i = i >= n_sets || (ok i && all (i + 1)) in
+  all 0
+  || QCheck.Test.fail_reportf "seed %d: expected [%s], got [%s]" seed
+       (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") expected)))
+       (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") got)))
+
+let prop_sa_cost cls name =
+  QCheck.Test.make ~name ~count:(scaled 300) QCheck.(int_bound 1_000_000) (check_sa_cost cls)
+
+let prop_sa_cost_integral =
+  prop_sa_cost Integral "closed-form tuple cost bit-equals list reference (integral weights)"
+
+let prop_sa_cost_dyadic =
+  prop_sa_cost Dyadic "closed-form tuple cost bit-equals list reference (dyadic weights)"
+
+let prop_sa_cost_arbitrary =
+  prop_sa_cost Arbitrary
+    "closed-form tuple cost within 1e-12 of list reference (arbitrary weights)"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qset_matches_reference;
@@ -477,6 +708,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incr_matches_full_chunk_model;
     QCheck_alcotest.to_alcotest prop_incr_matches_full_wcg_model;
     QCheck_alcotest.to_alcotest prop_engines_agree_on_placements;
+    QCheck_alcotest.to_alcotest prop_tuple_db_matches_reference;
+    QCheck_alcotest.to_alcotest prop_tuple_db_wide_ids;
+    QCheck_alcotest.to_alcotest prop_sa_cost_integral;
+    QCheck_alcotest.to_alcotest prop_sa_cost_dyadic;
+    QCheck_alcotest.to_alcotest prop_sa_cost_arbitrary;
     Alcotest.test_case "incr engine 10x work reduction on small" `Quick
       test_incr_work_reduction;
   ]

@@ -222,14 +222,15 @@ let test_cost_sa_pairs_model () =
      lands exactly where p's line meets theirs. *)
   let program = Program.of_sizes [| 32; 32; 32 |] in
   let chunks = Chunk.make ~chunk_size:256 program in
-  let db = Trg_profile.Pair_db.create () in
+  let b = Trg_profile.Tuple_db.create ~arity:2 in
   (* chunk ids equal proc ids here (one chunk each). *)
-  Trg_profile.Pair_db.add db ~p:0 ~r:1 ~s:2 5.;
+  Trg_profile.Tuple_db.add b ~p:0 ~ids:[ 1; 2 ] 5.;
+  let db = Trg_profile.Tuple_db.freeze b in
   let n2 = Node.union ~shift:0 ~modulo:4 (Node.singleton 1) (Node.singleton 2) in
   (* r and s both at set 0 in n2's frame; p at set 0 in n1.  Conflict occurs
      at relative offset 0 only. *)
   let cost =
-    Cost.offsets_cost (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4
+    Cost.offsets_cost (Cost.Sa_tuples { chunks; db }) program ~line_size ~n_sets:4
       ~n1:(Node.singleton 0) ~n2
   in
   Alcotest.(check bool) "offset 0 charged" true (cost.(0) > 0.);
@@ -237,7 +238,7 @@ let test_cost_sa_pairs_model () =
   (* If r and s occupy different sets, no offset is charged. *)
   let n2' = Node.union ~shift:1 ~modulo:4 (Node.singleton 1) (Node.singleton 2) in
   let cost' =
-    Cost.offsets_cost (Cost.Sa_pairs { chunks; db }) program ~line_size ~n_sets:4
+    Cost.offsets_cost (Cost.Sa_tuples { chunks; db }) program ~line_size ~n_sets:4
       ~n1:(Node.singleton 0) ~n2:n2'
   in
   Alcotest.(check (float 1e-9)) "split pair never charged" 0.

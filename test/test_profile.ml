@@ -1,7 +1,7 @@
 module Graph = Trg_profile.Graph
 module Wcg = Trg_profile.Wcg
 module Trg = Trg_profile.Trg
-module Pair_db = Trg_profile.Pair_db
+module Tuple_db = Trg_profile.Tuple_db
 module Popularity = Trg_profile.Popularity
 module Perturb = Trg_profile.Perturb
 module Toy = Trg_synth.Toy
@@ -115,70 +115,61 @@ let test_trg_place_chunk_granularity () =
   let b = Trg.build_place ~capacity_bytes:16384 chunks trace in
   Alcotest.(check bool) "chunk edge inside proc" true (Graph.weight b.Trg.graph 0 1 > 0.)
 
-(* --- Pair database (Section 6) --------------------------------------- *)
+(* --- Pair database (Section 6): the arity-2 tuple database ------------ *)
+
+let pairs ?max_between refs =
+  (Tuple_db.build_stream ~arity:2 ~capacity_bytes:65536 ~size_of:(fun _ -> 32)
+     ?max_between (fun emit -> List.iter emit refs))
+    .Tuple_db.db
 
 let test_pair_db_basic () =
   (* Stream p r s p: pair {r,s} appears between the two p references. *)
-  let b =
-    Pair_db.build_stream ~capacity_bytes:4096 ~size_of:(fun _ -> 32) (fun emit ->
-        List.iter emit [ 1; 2; 3; 1 ])
-  in
-  Alcotest.(check (float 1e-9)) "D(1,{2,3})" 1. (Pair_db.count b.Pair_db.db ~p:1 ~r:2 ~s:3);
-  Alcotest.(check (float 1e-9)) "unordered" 1. (Pair_db.count b.Pair_db.db ~p:1 ~r:3 ~s:2)
+  let db = pairs [ 1; 2; 3; 1 ] in
+  Alcotest.(check (float 1e-9)) "D(1,{2,3})" 1. (Tuple_db.count db ~p:1 ~ids:[ 2; 3 ]);
+  Alcotest.(check (float 1e-9)) "unordered" 1. (Tuple_db.count db ~p:1 ~ids:[ 3; 2 ])
 
 let test_pair_db_single_intervener_no_pair () =
   (* One intervening block is not enough to evict from a 2-way set. *)
-  let b =
-    Pair_db.build_stream ~capacity_bytes:4096 ~size_of:(fun _ -> 32) (fun emit ->
-        List.iter emit [ 1; 2; 1 ])
-  in
-  Alcotest.(check int) "no pairs" 0 (Pair_db.n_entries b.Pair_db.db)
+  Alcotest.(check int) "no pairs" 0 (Tuple_db.n_entries (pairs [ 1; 2; 1 ]))
 
 let test_pair_db_triple_interveners () =
-  let b =
-    Pair_db.build_stream ~capacity_bytes:4096 ~size_of:(fun _ -> 32) (fun emit ->
-        List.iter emit [ 1; 2; 3; 4; 1 ])
-  in
+  let db = pairs [ 1; 2; 3; 4; 1 ] in
   (* C(3,2) = 3 pairs recorded for p=1. *)
-  Alcotest.(check int) "three pairs" 3 (Pair_db.n_entries b.Pair_db.db);
-  Alcotest.(check (float 1e-9)) "D(1,{2,4})" 1. (Pair_db.count b.Pair_db.db ~p:1 ~r:2 ~s:4)
+  Alcotest.(check int) "three pairs" 3 (Tuple_db.n_entries db);
+  Alcotest.(check (float 1e-9)) "D(1,{2,4})" 1. (Tuple_db.count db ~p:1 ~ids:[ 2; 4 ])
 
 let test_pair_db_iteration () =
-  let db = Pair_db.create () in
-  Pair_db.add db ~p:5 ~r:1 ~s:2 2.;
-  Pair_db.add db ~p:5 ~r:2 ~s:1 1.;
+  let b = Tuple_db.create ~arity:2 in
+  Tuple_db.add b ~p:5 ~ids:[ 1; 2 ] 2.;
+  Tuple_db.add b ~p:5 ~ids:[ 2; 1 ] 1.;
   let total = ref 0. in
-  Pair_db.iter_p db 5 (fun r s w ->
-      Alcotest.(check bool) "canonical r<s" true (r < s);
+  Tuple_db.iter_p (Tuple_db.freeze b) 5 (fun ids w ->
+      Alcotest.(check (list int)) "canonical r<s" [ 1; 2 ] ids;
       total := !total +. w);
   Alcotest.(check (float 1e-9)) "accumulated" 3. !total
 
 let test_pair_db_rejects_degenerate () =
-  let db = Pair_db.create () in
+  let b = Tuple_db.create ~arity:2 in
   Alcotest.(check bool) "r=s rejected" true
     (try
-       Pair_db.add db ~p:1 ~r:2 ~s:2 1.;
+       Tuple_db.add b ~p:1 ~ids:[ 2; 2 ] 1.;
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "r=p rejected" true
     (try
-       Pair_db.add db ~p:1 ~r:1 ~s:2 1.;
+       Tuple_db.add b ~p:1 ~ids:[ 1; 2 ] 1.;
        false
      with Invalid_argument _ -> true)
 
 let test_pair_db_max_between () =
-  let feed emit = List.iter emit [ 1; 2; 3; 4; 5; 6; 1 ] in
-  let unbounded =
-    Pair_db.build_stream ~capacity_bytes:65536 ~size_of:(fun _ -> 32) ~max_between:64 feed
-  in
-  let bounded =
-    Pair_db.build_stream ~capacity_bytes:65536 ~size_of:(fun _ -> 32) ~max_between:2 feed
-  in
-  Alcotest.(check int) "C(5,2)=10" 10 (Pair_db.n_entries unbounded.Pair_db.db);
-  Alcotest.(check int) "truncated to C(2,2)=1" 1 (Pair_db.n_entries bounded.Pair_db.db);
+  let refs = [ 1; 2; 3; 4; 5; 6; 1 ] in
+  let unbounded = pairs ~max_between:64 refs in
+  let bounded = pairs ~max_between:2 refs in
+  Alcotest.(check int) "C(5,2)=10" 10 (Tuple_db.n_entries unbounded);
+  Alcotest.(check int) "truncated to C(2,2)=1" 1 (Tuple_db.n_entries bounded);
   (* Truncation keeps the most recent interveners (5 and 6). *)
   Alcotest.(check (float 1e-9)) "recent pair kept" 1.
-    (Pair_db.count bounded.Pair_db.db ~p:1 ~r:5 ~s:6)
+    (Tuple_db.count bounded ~p:1 ~ids:[ 5; 6 ])
 
 (* --- Popularity ------------------------------------------------------- *)
 
@@ -251,11 +242,20 @@ let test_perturb_deterministic () =
   Alcotest.(check bool) "same seed same result" true (Graph.edges a = Graph.edges b)
 
 let test_perturb_pair_db () =
-  let db = Pair_db.create () in
-  Pair_db.add db ~p:1 ~r:2 ~s:3 10.;
-  let db' = Perturb.pair_db (Prng.create 5) ~s:0.1 db in
-  let w = Pair_db.count db' ~p:1 ~r:2 ~s:3 in
-  Alcotest.(check bool) "perturbed positive" true (w > 0. && w <> 10.)
+  let b = Tuple_db.create ~arity:2 in
+  Tuple_db.add b ~p:1 ~ids:[ 2; 3 ] 10.;
+  Tuple_db.add b ~p:0 ~ids:[ 2; 3 ] 10.;
+  let db = Tuple_db.freeze b in
+  let db' = Perturb.tuple_db (Prng.create 5) ~s:0.1 db in
+  let w = Tuple_db.count db' ~p:1 ~ids:[ 2; 3 ] in
+  Alcotest.(check bool) "perturbed positive" true (w > 0. && w <> 10.);
+  (* One factor per entry in canonical order: D(0, .) draws first. *)
+  let rng = Prng.create 5 in
+  let first = 10. *. exp (0.1 *. Prng.normal rng) in
+  let second = 10. *. exp (0.1 *. Prng.normal rng) in
+  Alcotest.(check (float 0.)) "D(0,{2,3}) takes the first draw" first
+    (Tuple_db.count db' ~p:0 ~ids:[ 2; 3 ]);
+  Alcotest.(check (float 0.)) "D(1,{2,3}) takes the second" second w
 
 let prop_perturb_preserves_structure =
   QCheck.Test.make ~name:"perturbation preserves edge set" ~count:50

@@ -18,9 +18,10 @@ let test_arity_validation () =
      with Invalid_argument _ -> true)
 
 let test_add_and_count () =
-  let db = Tuple_db.create ~arity:3 in
-  Tuple_db.add db ~p:9 ~ids:[ 3; 1; 2 ] 2.;
-  Tuple_db.add db ~p:9 ~ids:[ 2; 3; 1 ] 1.;
+  let b = Tuple_db.create ~arity:3 in
+  Tuple_db.add b ~p:9 ~ids:[ 3; 1; 2 ] 2.;
+  Tuple_db.add b ~p:9 ~ids:[ 2; 3; 1 ] 1.;
+  let db = Tuple_db.freeze b in
   Alcotest.(check (float 1e-9)) "accumulated, unordered" 3.
     (Tuple_db.count db ~p:9 ~ids:[ 1; 2; 3 ]);
   Alcotest.(check (float 1e-9)) "absent" 0. (Tuple_db.count db ~p:9 ~ids:[ 1; 2; 4 ])
@@ -32,22 +33,35 @@ let test_add_validation () =
   Alcotest.(check bool) "duplicate ids" true
     (bad (fun () -> Tuple_db.add db ~p:1 ~ids:[ 2; 2 ] 1.));
   Alcotest.(check bool) "member equals p" true
-    (bad (fun () -> Tuple_db.add db ~p:1 ~ids:[ 1; 2 ] 1.))
+    (bad (fun () -> Tuple_db.add db ~p:1 ~ids:[ 1; 2 ] 1.));
+  Alcotest.(check bool) "negative id" true
+    (bad (fun () -> Tuple_db.add db ~p:1 ~ids:[ -2; 3 ] 1.))
 
-let test_build_arity2_matches_pair_db () =
-  (* On the same stream, the arity-2 tuple database and Pair_db agree. *)
+(* Pinned by hand.  Stream 1 2 3 4 1 3 2 1 with Q never evicting: the
+   re-references record 1:{2,3,4}, 3:{4,1}, 2:{4,1,3} and 1:{3,2}. *)
+let test_build_pinned_entry_counts () =
   let refs = [ 1; 2; 3; 4; 1; 3; 2; 1 ] in
-  let tuples = (build ~arity:2 ~max_between:64 refs).Tuple_db.db in
-  let pairs =
-    (Trg_profile.Pair_db.build_stream ~capacity_bytes:65536
-       ~size_of:(fun _ -> 32) ~max_between:64 (fun emit -> List.iter emit refs))
-      .Trg_profile.Pair_db.db
+  let pairs = (build ~arity:2 ~max_between:64 refs).Tuple_db.db in
+  Alcotest.(check int) "3 + 1 + 3 + 0 pairs (one repeated)" 7 (Tuple_db.n_entries pairs);
+  Alcotest.(check (float 0.)) "D(1,{2,3}) seen twice" 2. (Tuple_db.count pairs ~p:1 ~ids:[ 2; 3 ]);
+  Alcotest.(check (float 0.)) "D(3,{1,4})" 1. (Tuple_db.count pairs ~p:3 ~ids:[ 1; 4 ]);
+  Alcotest.(check (float 0.)) "D(2,{3,4})" 1. (Tuple_db.count pairs ~p:2 ~ids:[ 3; 4 ]);
+  let triples = (build ~arity:3 ~max_between:64 refs).Tuple_db.db in
+  Alcotest.(check int) "only the 3-intervener spans give triples" 2
+    (Tuple_db.n_entries triples);
+  Alcotest.(check (float 0.)) "D(2,{1,3,4})" 1. (Tuple_db.count triples ~p:2 ~ids:[ 1; 3; 4 ]);
+  (* The E6 2-way database on [small] at max_between 32; the deleted
+     list-keyed pair database recorded the same number. *)
+  let shape = Trg_synth.Bench.find "small" in
+  let cache = Trg_cache.Config.make ~size:8192 ~line_size:32 ~assoc:2 in
+  let config = Trg_place.Gbsc.default_config ~cache () in
+  let r = Trg_eval.Runner.prepare ~config shape in
+  let prof =
+    Trg_place.Gbsc_sa.profile ~max_between:32 config (Trg_eval.Runner.program r)
+      r.Trg_eval.Runner.train
   in
-  Alcotest.(check int) "same entry count" (Trg_profile.Pair_db.n_entries pairs)
-    (Tuple_db.n_entries tuples);
-  Trg_profile.Pair_db.iter pairs (fun p r s w ->
-      Alcotest.(check (float 1e-9)) "same weight" w
-        (Tuple_db.count tuples ~p ~ids:[ r; s ]))
+  Alcotest.(check int) "small, 2-way, max_between 32" 218_701
+    (Tuple_db.n_entries prof.Trg_place.Gbsc_sa.tuples.Tuple_db.db)
 
 let test_build_arity3 () =
   (* 1 [2 3 4 5] 1: C(4,3) = 4 triples recorded for p=1. *)
@@ -70,8 +84,9 @@ let test_max_between_truncates () =
     (Tuple_db.count cut.Tuple_db.db ~p:1 ~ids:[ 4; 5 ])
 
 let test_perturb_tuple_db () =
-  let db = Tuple_db.create ~arity:3 in
-  Tuple_db.add db ~p:1 ~ids:[ 2; 3; 4 ] 10.;
+  let b = Tuple_db.create ~arity:3 in
+  Tuple_db.add b ~p:1 ~ids:[ 2; 3; 4 ] 10.;
+  let db = Tuple_db.freeze b in
   let db' = Perturb.tuple_db (Prng.create 3) ~s:0.1 db in
   let w = Tuple_db.count db' ~p:1 ~ids:[ 2; 3; 4 ] in
   Alcotest.(check bool) "perturbed" true (w > 0. && w <> 10.);
@@ -84,8 +99,9 @@ let test_perturb_tuple_db () =
 let test_cost_sa_tuples () =
   let program = Program.of_sizes [| 32; 32; 32; 32 |] in
   let chunks = Chunk.make ~chunk_size:256 program in
-  let db = Tuple_db.create ~arity:3 in
-  Tuple_db.add db ~p:3 ~ids:[ 0; 1; 2 ] 7.;
+  let b = Tuple_db.create ~arity:3 in
+  Tuple_db.add b ~p:3 ~ids:[ 0; 1; 2 ] 7.;
+  let db = Tuple_db.freeze b in
   let n1 =
     Node.union ~shift:0 ~modulo:4
       (Node.union ~shift:0 ~modulo:4 (Node.singleton 0) (Node.singleton 1))
@@ -145,7 +161,7 @@ let suite =
     Alcotest.test_case "arity validation" `Quick test_arity_validation;
     Alcotest.test_case "add and count" `Quick test_add_and_count;
     Alcotest.test_case "add validation" `Quick test_add_validation;
-    Alcotest.test_case "arity-2 matches pair db" `Quick test_build_arity2_matches_pair_db;
+    Alcotest.test_case "pinned entry counts" `Quick test_build_pinned_entry_counts;
     Alcotest.test_case "arity-3 build" `Quick test_build_arity3;
     Alcotest.test_case "insufficient interveners" `Quick test_build_insufficient_interveners;
     Alcotest.test_case "max_between truncates" `Quick test_max_between_truncates;
